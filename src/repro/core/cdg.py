@@ -21,22 +21,28 @@ class CommitDependencyGraph:
 
     ``tracer``/``process``/``clock`` are optional observability hooks: when
     a tracer is enabled, every new edge is recorded as a ``cdg_edge`` event
-    stamped with the current virtual time.
+    stamped with the current virtual time.  ``on_node`` is called with
+    every node the graph creates (the runtime indexes it by its guess).
     """
 
     def __init__(self, tracer=None, process: str = "",
-                 clock: Optional[Callable[[], float]] = None) -> None:
+                 clock: Optional[Callable[[], float]] = None,
+                 on_node: Optional[Callable[[GuessId], None]] = None) -> None:
         self._succ: Dict[GuessId, Set[GuessId]] = {}
         self._pred: Dict[GuessId, Set[GuessId]] = {}
         self._tracer = tracer
         self._process = process
         self._clock = clock
+        self._on_node = on_node
 
     # ------------------------------------------------------------- building
 
     def _ensure(self, node: GuessId) -> None:
-        self._succ.setdefault(node, set())
-        self._pred.setdefault(node, set())
+        if node not in self._succ:
+            self._succ[node] = set()
+            self._pred[node] = set()
+            if self._on_node is not None:
+                self._on_node(node)
 
     def add_node(self, node: GuessId) -> None:
         """Ensure the guess is a node of the graph."""

@@ -163,12 +163,22 @@ class GuardSet:
         """
         if self._compressed_gen == self._gen:
             return self._compressed_cache  # type: ignore[return-value]
-        latest: dict[tuple, GuessId] = {}
-        for g in self._guesses:
-            key = (g.process, g.incarnation)
-            cur = latest.get(key)
-            if cur is None or g.index > cur.index:
-                latest[key] = g
-        self._compressed_cache = frozenset(latest.values())
+        self._compressed_cache = latest_per_incarnation(self._guesses)
         self._compressed_gen = self._gen
         return self._compressed_cache
+
+
+def latest_per_incarnation(guesses: Iterable[GuessId]) -> FrozenSet[GuessId]:
+    """The highest-index guess of each (process, incarnation) in ``guesses``.
+
+    An abort of ``x_{i,m}`` aborts every ``x_{i,n}`` with ``n >= m``
+    (§4.1.5), so some member of ``guesses`` is aborted exactly when one of
+    these representatives is.
+    """
+    latest: dict[tuple, GuessId] = {}
+    for g in guesses:
+        key = (g.process, g.incarnation)
+        cur = latest.get(key)
+        if cur is None or g.index > cur.index:
+            latest[key] = g
+    return frozenset(latest.values())

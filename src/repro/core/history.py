@@ -12,12 +12,20 @@ exactly one place:
   table — implicit *abort* of truncated guesses of earlier incarnations.
 * ``ABORT(x_{i,n})`` starts incarnation ``i+1`` at index ``n``, implicitly
   aborting every ``x_{i,m}`` with ``m >= n``.
+
+``SystemView`` also *watches* the unresolved guesses its process holds
+(guard members, buffered emissions, CDG nodes): it caches their status
+and, on every history update, re-evaluates only the watched guesses that
+update can affect.  Each update returns the watched guesses it resolved,
+so the runtime visits exactly their holders instead of sweeping all of
+its state.  The cache is derived from :meth:`PeerView.status` — the one
+rule set — and a resolved guess leaves it for good.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.core.guess import GuessId, IncarnationTable
 
@@ -93,10 +101,14 @@ class PeerView:
 
 
 class SystemView:
-    """All peer views held by one process."""
+    """All peer views held by one process, plus the watched-guess cache."""
 
     def __init__(self) -> None:
         self._peers: Dict[str, PeerView] = {}
+        #: process -> incarnation -> status of each watched (held, still
+        #: unresolved) guess; an update re-evaluates only the incarnations
+        #: it can affect
+        self._watched: Dict[str, Dict[int, Dict[GuessId, GuessStatus]]] = {}
 
     def peer(self, process: str) -> PeerView:
         """The (lazily created) view of one peer process."""
@@ -107,8 +119,18 @@ class SystemView:
         return view
 
     def status(self, guess: GuessId) -> GuessStatus:
-        """Resolution status via the owning peer's view."""
+        """Resolution status via the owning peer's view (cached if watched)."""
+        cached = self._cached(guess)
+        if cached is not None:
+            return cached
         return self.peer(guess.process).status(guess)
+
+    def _cached(self, guess: GuessId) -> Optional[GuessStatus]:
+        incs = self._watched.get(guess.process)
+        if incs is None:
+            return None
+        bucket = incs.get(guess.incarnation)
+        return None if bucket is None else bucket.get(guess)
 
     def is_committed(self, guess: GuessId) -> bool:
         """True iff the guess is known committed."""
@@ -138,14 +160,84 @@ class SystemView:
         """True iff every listed guess is known committed."""
         return all(self.is_committed(g) for g in guesses)
 
-    def note_commit(self, guess: GuessId) -> None:
-        """Record an explicit COMMIT with the owning peer's view."""
+    # ------------------------------------------------------------ watching
+
+    def watch(self, guess: GuessId) -> GuessStatus:
+        """Status of ``guess``; an unresolved one stays watched until resolved.
+
+        A caller registering a holder learns at once whether the guess is
+        already resolved (a resolved guess is never watched).
+        """
+        cached = self._cached(guess)
+        if cached is not None:
+            return cached
+        status = self.peer(guess.process).status(guess)
+        if not status.resolved:
+            self._watched.setdefault(guess.process, {}).setdefault(
+                guess.incarnation, {})[guess] = status
+        return status
+
+    def _refresh(self, process: str,
+                 affected: Callable[[int, int], bool]) -> List[GuessId]:
+        """Re-evaluate the watched guesses of ``process`` an update touched.
+
+        ``affected(incarnation, index)`` selects the guesses whose status
+        the update can change.  Returns those now resolved, sorted, after
+        dropping them from the cache.
+        """
+        incs = self._watched.get(process)
+        if not incs:
+            return []
+        peer = self.peer(process)
+        resolved: List[GuessId] = []
+        for inc in list(incs):
+            bucket = incs[inc]
+            for g in [g for g in bucket if affected(inc, g.index)]:
+                status = peer.status(g)
+                if status.resolved:
+                    del bucket[g]
+                    resolved.append(g)
+                else:
+                    bucket[g] = status
+            if not bucket:
+                del incs[inc]
+        resolved.sort()
+        return resolved
+
+    # ------------------------------------------------------------- updates
+
+    def note_commit(self, guess: GuessId) -> List[GuessId]:
+        """Record an explicit COMMIT; returns the watched guesses it resolved.
+
+        Committing ``x_{i,n}`` can only commit ``x_{i,m}`` with ``m <= n``.
+        """
         self.peer(guess.process).note_commit(guess)
+        inc, upto = guess.incarnation, guess.index
+        return self._refresh(guess.process,
+                             lambda i, n: i == inc and n <= upto)
 
-    def note_abort(self, guess: GuessId) -> None:
-        """Record an explicit ABORT with the owning peer's view."""
+    def note_abort(self, guess: GuessId) -> List[GuessId]:
+        """Record an explicit ABORT; returns the watched guesses it resolved."""
         self.peer(guess.process).note_abort(guess)
+        return self._refresh_start(guess.process, guess.incarnation + 1,
+                                   guess.index)
 
-    def note_unknown(self, guess: GuessId) -> None:
+    def learn_start(self, process: str, incarnation: int,
+                    index: int) -> List[GuessId]:
+        """Record an incarnation start; returns the watched guesses it resolved."""
+        self.peer(process).incarnations.learn_start(incarnation, index)
+        return self._refresh_start(process, incarnation, index)
+
+    def _refresh_start(self, process: str, incarnation: int,
+                       index: int) -> List[GuessId]:
+        # Incarnation i starting at n aborts earlier incarnations' guesses
+        # from n on and, by lowering i's known start, may commit i's own.
+        return self._refresh(process,
+                             lambda i, n: i <= incarnation and n >= index)
+
+    def note_unknown(self, guess: GuessId) -> List[GuessId]:
         """Record an in-doubt (PRECEDENCE) marker with the peer's view."""
         self.peer(guess.process).note_unknown(guess)
+        inc, idx = guess.incarnation, guess.index
+        return self._refresh(guess.process,
+                             lambda i, n: i == inc and n == idx)

@@ -27,9 +27,13 @@ PLANE_CONTROL = sys.intern("control")
 PLANE_DATA = sys.intern("data")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class DataEnvelope:
     """A CSP payload tagged with the sending computation's guard set.
+
+    Envelopes compare by identity: ``msg_id`` is unique, so two distinct
+    envelopes are never the same message, and pool membership tests stay
+    O(1) per comparison instead of a field-by-field ``__eq__``.
 
     ``porder`` is the sender-side program-order stamp of the send event, and
     ``trace_data`` the trace-visible data values — both carried so the

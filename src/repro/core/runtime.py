@@ -17,8 +17,9 @@ and its buffered external output.  It implements:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ProgramError, ProtocolError
 from repro.core.cdg import CommitDependencyGraph
@@ -26,6 +27,7 @@ from repro.core.config import ControlPlane, DeliveryHeuristic, OptimisticConfig
 from repro.core.guards import GuardSet
 from repro.core.guess import GuessId
 from repro.core.history import GuessStatus, SystemView
+from repro.core.holders import HolderIndex
 from repro.core.journal import FORK, JOIN, RESULT, SEND, Slot
 from repro.core.messages import (
     AbortMsg,
@@ -103,7 +105,10 @@ class ProcessRuntime:
         plan: Optional[ParallelizationPlan],
         config: OptimisticConfig,
     ) -> None:
-        self.system = system
+        #: weak back-references (system -> runtime -> thread own the other
+        #: way), so a finished run is freed by reference counting alone
+        self.system = weakref.proxy(system)
+        self._proxy = weakref.proxy(self)
         self.name = program.name
         self.program = program
         self.plan = plan or ParallelizationPlan()
@@ -137,9 +142,13 @@ class ProcessRuntime:
                 self.effects = None  # analysis failure = feature off
 
         self.view = SystemView()
+        #: guess -> the threads, pooled envelopes, buffered emissions and
+        #: CDG nodes it holds up; a resolution visits only those holders
+        self.index = HolderIndex(self.view)
+        backend = self.backend
         self.cdg = CommitDependencyGraph(
             tracer=self.tracer, process=self.name,
-            clock=lambda: self.backend.now,
+            clock=lambda: backend.now, on_node=self.index.hold_cdg,
         )
         self.threads: Dict[int, OptimisticThread] = {}
         self.children: Dict[int, List[int]] = {}
@@ -158,9 +167,7 @@ class ProcessRuntime:
         self.tentative_completion: Optional[float] = None
         self.committed_completion: Optional[float] = None
         self._in_sweep = False
-        self._sweep_again = False
         self._in_dispatch = False
-        self._dispatch_again = False
         #: Idempotence bookkeeping for re-delivered control messages: a
         #: COMMIT/ABORT is applied once per (kind, GuessId) — the GuessId
         #: carries the incarnation, so renumbered retries are distinct —
@@ -201,7 +208,7 @@ class ProcessRuntime:
         tid = self._next_tid
         self._next_tid += 1
         thread = OptimisticThread(
-            runtime=self,
+            runtime=self._proxy,
             tid=tid,
             seg_start=seg_start,
             seg_end=seg_end,
@@ -212,6 +219,7 @@ class ProcessRuntime:
         )
         self.threads[tid] = thread
         self.children[tid] = []
+        self.index.hold_thread(tid, guard)
         return thread
 
     def log_event(self, kind: str, **detail: Any) -> None:
@@ -499,6 +507,7 @@ class ProcessRuntime:
             self.access.note_emit(thread._access_rec, effect.sink)
         if emission.pending:
             self.emissions.append(emission)
+            self.index.hold_emission(emission.emission_id, emission.pending)
             self.m.emissions_buffered.inc()
         else:
             self._release_emission(emission)
@@ -544,15 +553,8 @@ class ProcessRuntime:
             for g in new:
                 thread.guard.add(g)
                 thread.rollbacks[g] = before_position
+            self.index.hold_thread(thread.tid, new)
             self.m.guards_acquired.inc(len(new))
-
-    def _is_orphan(self, envelope: DataEnvelope) -> bool:
-        return self.view.any_aborted(envelope.guard) is not None
-
-    def _pending_guards_of(self, envelope: DataEnvelope) -> Set[GuessId]:
-        return {
-            g for g in envelope.guard if not self.view.is_committed(g)
-        }
 
     # ------------------------------------------------------ message arrival
 
@@ -577,7 +579,7 @@ class ProcessRuntime:
                     self.m.data_dups.inc()
                     return
                 self._data_seen.add(payload.msg_id)
-            if self._is_orphan(payload):
+            if self.index.hold_envelope(payload.msg_id, payload.guard):
                 self._note_orphan(payload)
                 return
             self.pool.append(payload)
@@ -606,34 +608,30 @@ class ProcessRuntime:
     # ------------------------------------------------------------- dispatch
 
     def dispatch(self) -> None:
-        """Deliver pool messages to eligible threads until a fixpoint."""
+        """Deliver pool messages to eligible threads until none fits.
+
+        Orphans (flagged by the holder index when an abort is learned) are
+        dropped as the scan reaches them.  A delivery changes
+        which threads wait and for what, so the scan then restarts at the
+        head of the pool: earlier messages keep their priority.
+        """
         if self._in_dispatch:
-            self._dispatch_again = True
+            # Re-entered from a delivery: the running scan restarts after it.
             return
         self._in_dispatch = True
         try:
-            progress = True
-            while progress or self._dispatch_again:
-                self._dispatch_again = False
-                progress = self._dispatch_once()
+            i = 0
+            while i < len(self.pool):
+                envelope = self.pool[i]
+                if envelope.msg_id in self.index.orphans:
+                    del self.pool[i]
+                    self._note_orphan(envelope)
+                elif isinstance(envelope.payload, CallResponse):
+                    i = 0 if self._dispatch_reply(envelope) else i + 1
+                else:
+                    i = 0 if self._dispatch_request(envelope) else i + 1
         finally:
             self._in_dispatch = False
-
-    def _dispatch_once(self) -> bool:
-        for envelope in list(self.pool):
-            if envelope not in self.pool:
-                continue
-            if self._is_orphan(envelope):
-                self.pool.remove(envelope)
-                self._note_orphan(envelope)
-                continue
-            if isinstance(envelope.payload, CallResponse):
-                if self._dispatch_reply(envelope):
-                    return True
-            else:
-                if self._dispatch_request(envelope):
-                    return True
-        return False
 
     def _dispatch_reply(self, envelope: DataEnvelope) -> bool:
         payload: CallResponse = envelope.payload
@@ -686,7 +684,8 @@ class ProcessRuntime:
             if t.status is ThreadStatus.BLOCKED_RECV
             and t.waiting_receive is not None
             and (t.waiting_receive.ops is None or req.op in t.waiting_receive.ops)
-            and not (t.pessimistic and self._pending_guards_of(envelope))
+            and not (t.pessimistic and not self.view.all_committed(
+                envelope.guard))
         ]
         if not eligible:
             return False
@@ -702,7 +701,8 @@ class ProcessRuntime:
         return True
 
     def _threads_in_order(self) -> List[OptimisticThread]:
-        return [self.threads[tid] for tid in sorted(self.threads)]
+        # tids only grow and are never re-inserted: insertion is tid order
+        return list(self.threads.values())
 
     # ------------------------------------------------------------ join logic
 
@@ -789,8 +789,8 @@ class ProcessRuntime:
             self.abort_own([record], reason="time_fault",
                            detail={"cycle": [record.guess.key()]})
             return
-        # Prune resolved guards before deciding.
-        self._prune_thread_guards(left)
+        # Prune committed guards before deciding.
+        self._settle_guard(left, self.index.threads.get(left.tid))
         if not left.guard:
             self.commit_own(record)
             return
@@ -834,7 +834,7 @@ class ProcessRuntime:
         if record.timer is not None:
             record.timer.cancel()
         self._capture_certified_effects(record)
-        self.view.note_commit(record.guess)
+        self._on_resolved(self.view.note_commit(record.guess))
         self.cdg.remove_node(record.guess)
         self._emit_control(CommitMsg(guess=record.guess))
         self.m.commits.inc()
@@ -912,6 +912,7 @@ class ProcessRuntime:
             if record.timer is not None:
                 record.timer.cancel()
             to_abort.append(record)
+            self.index.records.mark(record.guess)
             roots[record.guess] = cascade_root
             nested_root = cascade_root or record.guess.key()
             for t in self._destroy_subtree(record.right_tid,
@@ -927,11 +928,11 @@ class ProcessRuntime:
         self.incarnation += 1
         reset_index = min(r.guess.index for r in to_abort)
         self.next_fork_index = reset_index
-        self.view.peer(self.name).incarnations.learn_start(
-            self.incarnation, reset_index
+        self._on_resolved(
+            self.view.learn_start(self.name, self.incarnation, reset_index)
         )
         for record in to_abort:
-            self.view.note_abort(record.guess)
+            self._on_resolved(self.view.note_abort(record.guess))
             self.recorder.mark_aborted(record.guess.key())
             self.site_attempts[record.site] = (
                 self.site_attempts.get(record.site, 0) + 1
@@ -1013,11 +1014,7 @@ class ProcessRuntime:
     def _spawn_continuation(self, record: GuessRecord) -> None:
         if record.fork_undone:
             return  # the former left thread re-executes the range itself
-        existing = (
-            self.threads.get(record.continuation_tid)
-            if record.continuation_tid is not None
-            else None
-        )
+        existing = self.threads.get(record.continuation_tid)
         if existing is not None and existing.alive:
             return
         left = self.threads[record.left_tid]
@@ -1116,7 +1113,7 @@ class ProcessRuntime:
         self._relay_control(src, msg)
         if self._control_duplicate(("CommitMsg", msg.guess)):
             return
-        self.view.note_commit(msg.guess)
+        self._on_resolved(self.view.note_commit(msg.guess))
         self.cdg.remove_node(msg.guess)
         self.log_event("commit_received", guess=msg.guess.key())
         self.resolve_sweep()
@@ -1126,7 +1123,7 @@ class ProcessRuntime:
         self._relay_control(src, msg)
         if self._control_duplicate(("AbortMsg", msg.guess)):
             return
-        self.view.note_abort(msg.guess)
+        self._on_resolved(self.view.note_abort(msg.guess))
         self.log_event("abort_received", guess=msg.guess.key())
         self._rollback_for_abort(msg.guess)
         self.cdg.remove_node(msg.guess)
@@ -1141,17 +1138,28 @@ class ProcessRuntime:
         re-acquiring a follower afterwards is legitimate, since the
         follower's own fate is still open.
         """
-        followers: Set[GuessId] = set()
+        dead = {guess}
         if self.config.eager_cdg_rollback:
-            followers = self.cdg.descendants(guess)
-        dead = {guess} | followers
-        for thread in self._threads_in_order():
-            if not thread.alive:
+            dead |= self.cdg.descendants(guess)
+        # Only holders of a dead guess can be affected, visited in tid
+        # order.  A rollback's replay may make a later thread acquire a
+        # follower, so holders are re-read after each; newborns wait for
+        # the sweep.
+        limit, done = self._next_tid, -1
+        holders = self.index.holding(dead)
+        while True:
+            tids = [t for t in holders if done < t < limit]
+            if not tids:
+                return
+            done = min(tids)
+            thread = self.threads.get(done)
+            if thread is None or not thread.alive:
                 continue
             affected = thread.guard.members() & dead
             if affected:
                 position = min(thread.rollbacks[g] for g in affected)
                 self._perform_rollback(thread, position, cause=guess.key())
+                holders = self.index.holding(dead)
 
     def _handle_precedence(self, msg: PrecedenceMsg) -> None:
         self._note_control_received(msg)
@@ -1325,95 +1333,82 @@ class ProcessRuntime:
             thread.replay()
         self.resolve_sweep()
 
+    def _on_resolved(self, guesses: List[GuessId]) -> None:
+        """Mark the holders of newly resolved guesses for the next sweep."""
+        for tid in self.index.resolve(guesses):
+            thread = self.threads.get(tid)
+            if thread is not None and thread.own_guess is not None:
+                self.index.records.mark(thread.own_guess)
+
     # -------------------------------------------------------- resolve sweep
 
     def resolve_sweep(self) -> None:
-        """Propagate every known resolution through local state.
+        """Propagate newly learned resolutions to their holders.
 
-        Prunes committed guesses from guards, rolls back threads holding
-        aborted guesses (§4.2.8), re-evaluates waiting joins, releases or
-        drops buffered emissions, purges orphans, and re-checks completion.
-        Idempotent; safe to call after any history change.
+        Each pass settles what the holder index marked dirty, in the order
+        below (§4.2.7/§4.2.8).  A resolution the pass itself causes only
+        marks more holders for a later pass, so nested resolutions never
+        reorder one pass's effects.
         """
         if self._in_sweep:
-            self._sweep_again = True
             return
         self._in_sweep = True
         try:
-            again = True
-            while again or self._sweep_again:
-                self._sweep_again = False
-                again = self._sweep_once()
+            while self.index:
+                self._sweep_once()
         finally:
             self._in_sweep = False
         self.dispatch()
         self._check_completion()
         self._maybe_arm_orphan_scan()
 
-    def _sweep_once(self) -> bool:
-        changed = False
-        # 0. prune CDG nodes resolved by *implication* (commit of a later
-        # index implies earlier ones; incarnation truncation implies
-        # aborts) — explicit notifications for them may never arrive,
-        # especially under the targeted control plane.
-        for node in self.cdg.nodes():
-            if self.view.status(node).resolved:
-                self.cdg.remove_node(node)
-        # 1. prune committed guesses; collect rollback targets.
-        for thread in self._threads_in_order():
-            if not thread.alive:
+    def _sweep_once(self) -> None:
+        index = self.index
+        # 1. CDG nodes resolved by *implication* (a commit of a later index
+        # implies earlier ones; incarnation truncation implies aborts) —
+        # explicit notifications for them may never arrive, especially
+        # under the targeted control plane.
+        for node in index.cdg:
+            self.cdg.remove_node(node)
+        index.cdg.clear()
+        # 2. thread guards in tid order: prune commits, roll back aborts.
+        # Threads born during the pass, or marked again after their turn,
+        # wait for the next pass.
+        for tid, resolved in index.threads.drain(self._next_tid):
+            thread = self.threads.get(tid)
+            if thread is None or not thread.alive:
                 continue
-            self._prune_thread_guards(thread)
-            affected = self._aborted_dependencies(thread)
+            affected = self._settle_guard(thread, resolved)
             if affected:
                 position = min(thread.rollbacks[g] for g in affected)
                 self._perform_rollback(thread, position,
                                        cause=min(g.key() for g in affected))
-                changed = True
-        # 2. re-evaluate joins of pending guesses whose left thread is done.
-        for record in list(self.records.values()):
-            if record.status == "pending":
-                left = self.threads.get(record.left_tid)
-                if (
-                    left is not None
-                    and left.finished
-                    and left.status is ThreadStatus.TERMINATED
-                ):
-                    before = record.status
-                    self.evaluate_join(record)
-                    if record.status != before:
-                        changed = True
-            elif record.status == "aborted":
-                left = self.threads.get(record.left_tid)
-                if (
-                    left is not None
-                    and left.finished
-                    and left.status is ThreadStatus.TERMINATED
-                ):
-                    existing = (
-                        self.threads.get(record.continuation_tid)
-                        if record.continuation_tid is not None else None
-                    )
-                    if existing is None or not existing.alive:
-                        self._spawn_continuation(record)
-                        changed = True
-        # 3. emissions.
-        changed |= self._sweep_emissions()
-        return changed
+        # 3. joins (or continuations) in fork order; guesses forked during
+        # the pass sort above ``limit`` and wait.
+        limit = GuessId(self.name, self.incarnation, self.next_fork_index)
+        for guess, _ in index.records.drain(limit):
+            record = self.records.get(guess)
+            if record is not None and record.left_tid in self.threads:
+                self.evaluate_join(record)
+        # 4. buffered emissions.
+        self._settle_emissions()
 
-    def _prune_thread_guards(self, thread: OptimisticThread) -> None:
-        for g in list(thread.guard):
-            if self.view.is_committed(g):
-                thread.guard.discard(g)
-                thread.rollbacks.pop(g, None)
-
-    def _aborted_dependencies(self, thread: OptimisticThread) -> Set[GuessId]:
-        """Guard members directly known aborted.
+    def _settle_guard(self, thread: OptimisticThread,
+                      resolved: Iterable[GuessId]) -> Set[GuessId]:
+        """Prune the committed ``resolved`` guards; return the aborted ones.
 
         The CDG-follower part of §4.2.8's Abortset is applied one-shot in
         :meth:`_rollback_for_abort`; the sweep only needs the direct rule.
         """
-        return {g for g in thread.guard if self.view.is_aborted(g)}
+        aborted = set()
+        for g in resolved:
+            if g in thread.guard:
+                if self.view.is_committed(g):
+                    thread.guard.discard(g)
+                    thread.rollbacks.pop(g, None)
+                else:
+                    aborted.add(g)
+        return aborted
 
     def _perform_rollback(self, thread: OptimisticThread, position: int,
                           cause: Optional[str] = None) -> None:
@@ -1479,34 +1474,33 @@ class ProcessRuntime:
                 )
         thread.replay()
 
-    def _sweep_emissions(self) -> bool:
-        changed = False
+    def _settle_emissions(self) -> None:
+        """Drop emissions holding an abort; release the fully committed."""
+        dirty = self.index.emissions
+        if not dirty:
+            return
+        self.index.emissions = {}
+        ready: List[Emission] = []
         still: List[Emission] = []
         for em in self.emissions:
             if em.released or em.dropped:
                 continue
-            aborted = {g for g in em.pending if self.view.is_aborted(g)}
-            if aborted:
-                em.dropped = True
-                self.m.emissions_dropped.inc()
-                changed = True
-                continue
-            em.pending = {
-                g for g in em.pending if not self.view.is_committed(g)
-            }
-            if not em.pending:
-                changed = True
-                still.append(em)  # release below, in porder
-            else:
-                still.append(em)
-        ready = sorted(
-            (em for em in still if not em.pending),
-            key=lambda em: em.porder,
-        )
+            if em.emission_id in dirty:
+                if any(self.view.is_aborted(g) for g in em.pending):
+                    em.dropped = True
+                    self.m.emissions_dropped.inc()
+                    continue
+                em.pending = {
+                    g for g in em.pending if not self.view.is_committed(g)
+                }
+                if not em.pending:
+                    ready.append(em)
+                    continue
+            still.append(em)
+        ready.sort(key=lambda em: em.porder)
         for em in ready:
             self._release_emission(em)
-        self.emissions = [em for em in still if em.pending]
-        return changed
+        self.emissions = still
 
     # ------------------------------------------------------------ completion
 
@@ -1515,14 +1509,8 @@ class ProcessRuntime:
             return
         if self.tentative_completion is None:
             return
-        main_done = any(
-            t.finished
-            and t.status is ThreadStatus.TERMINATED
-            and t.own_guess is None
-            and t.seg_end >= len(self.program.segments)
-            and not t.guard
-            for t in self.threads.values()
-        )
+        main_done = any(self._is_main_line_done(t) and not t.guard
+                        for t in self.threads.values())
         if not main_done:
             return
         if any(r.status == "pending" for r in self.records.values()):
@@ -1535,6 +1523,12 @@ class ProcessRuntime:
             self.tracer.event(ob.COMPLETE, self.name, self.backend.now,
                               name="committed_complete")
 
+    def _is_main_line_done(self, t: OptimisticThread) -> bool:
+        """``t`` finished the program's last segment, guessing nothing."""
+        return (t.finished and t.status is ThreadStatus.TERMINATED
+                and t.own_guess is None
+                and t.seg_end >= len(self.program.segments))
+
     # ---------------------------------------------------------------- state
 
     def final_state(self) -> Optional[Dict[str, Any]]:
@@ -1546,12 +1540,7 @@ class ProcessRuntime:
         whose wrong guesses were certified commutative.
         """
         for t in self._threads_in_order():
-            if (
-                t.finished
-                and t.status is ThreadStatus.TERMINATED
-                and t.own_guess is None
-                and t.seg_end >= len(self.program.segments)
-            ):
+            if self._is_main_line_done(t):
                 if not self._deferred_actuals and not self._repair_deltas:
                     return t.state
                 out = dict(t.state)

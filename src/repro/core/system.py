@@ -8,8 +8,9 @@ process (never to external sinks), per §4.2.5.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ProgramError
 from repro.core.config import OptimisticConfig
@@ -91,6 +92,18 @@ class OptimisticResult:
                                protocol_kinds=protocol_kinds, title=title)
 
 
+def _weak_hook(owner: Any, method: str) -> Callable:
+    """A callback to ``owner.method`` that does not keep ``owner`` alive."""
+    ref = weakref.ref(owner)
+
+    def hook(*args: Any) -> None:
+        target = ref()
+        if target is not None:
+            getattr(target, method)(*args)
+
+    return hook
+
+
 class OptimisticSystem:
     """Assembles optimistic process runtimes over the shared substrate."""
 
@@ -127,8 +140,8 @@ class OptimisticSystem:
         # Substrate failures surface into the run (protocol log + per-
         # process metrics) as abort-and-fallback, never a crash — see
         # repro.exec.watchdog.
-        self.backend.on_segment_failure = self._on_segment_failure
-        self.backend.on_fallback = self._on_exec_fallback
+        self.backend.on_segment_failure = _weak_hook(self, "_on_segment_failure")
+        self.backend.on_fallback = _weak_hook(self, "_on_exec_fallback")
         self.stats = Stats()
         self.metrics = MetricsRegistry(self.stats)
         self.runtime_metrics = RuntimeMetrics(self.metrics)

@@ -32,7 +32,10 @@ class Timer:
 
     The handle doubles as the scheduled callable (it marks itself fired,
     then runs the action) so arming a timer allocates no extra closure —
-    timers are armed per fork and per frame, so this is hot.
+    timers are armed per fork and per frame, so this is hot.  A timer
+    drops its action once it fires or is cancelled: the action usually
+    closes over its owner, and holding it would keep a finished run alive
+    in a reference cycle.
     """
 
     __slots__ = ("_event", "fired", "_action", "_scheduler", "_label")
@@ -53,10 +56,12 @@ class Timer:
         if scheduler is not None and scheduler.tracer.enabled:
             scheduler.tracer.event("timer", "", scheduler.now,
                                    name=self._label)
-        if self._action is not None:
-            self._action()
+        action, self._action = self._action, None
+        if action is not None:
+            action()
 
     def cancel(self) -> None:
+        self._action = None
         if self._event is not None:
             self._event.cancel()
 

@@ -1,11 +1,11 @@
 """Property-based tests on the core data structures."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.cdg import CommitDependencyGraph
 from repro.core.guards import GuardSet
 from repro.core.guess import GuessId, IncarnationTable
-from repro.core.history import GuessStatus, PeerView
+from repro.core.history import GuessStatus, PeerView, SystemView
 from repro.sim.events import EventQueue
 
 guesses = st.builds(
@@ -114,6 +114,57 @@ def test_history_aborts_win_over_pending_never_flip_commits(events):
             # never produces; absent that, it stays committed.
             if not view.incarnations.implicitly_aborted(GuessId("X", 0, idx)):
                 assert status is GuessStatus.COMMITTED
+
+
+_guesses = st.builds(GuessId, st.sampled_from(["X", "Y"]),
+                     st.integers(0, 2), st.integers(0, 4))
+_view_ops = st.one_of(
+    st.tuples(st.sampled_from(["watch", "commit", "abort", "unknown"]),
+              _guesses),
+    st.tuples(st.just("start"), st.sampled_from(["X", "Y"]),
+              st.integers(1, 3), st.integers(0, 4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_view_ops, max_size=30))
+# a lowered start of incarnation 1 commits x_{1,1} under an earlier
+# COMMIT(x_{1,3}): an update can commit guesses of its own incarnation
+@example([("start", "X", 1, 3), ("commit", GuessId("X", 1, 3)),
+          ("watch", GuessId("X", 1, 1)), ("start", "X", 1, 0)])
+def test_watched_view_is_a_cache_of_the_peer_rules(ops):
+    """The watched-guess cache answers exactly as PeerView.status's §4.1.5
+    rules, and every update reports exactly the watched guesses it
+    resolved — the index caches the one rule set, it adds none."""
+    view = SystemView()
+    rules = {p: PeerView(p) for p in ("X", "Y")}
+    universe = [GuessId(p, i, n) for p in ("X", "Y")
+                for i in range(4) for n in range(5)]
+    watched = set()
+    for op in ops:
+        kind = op[0]
+        if kind == "watch":
+            g = op[1]
+            assert view.watch(g) is rules[g.process].status(g)
+            if not rules[g.process].status(g).resolved:
+                watched.add(g)
+            continue
+        if kind == "start":
+            _, process, inc, idx = op
+            rules[process].incarnations.learn_start(inc, idx)
+            reported = view.learn_start(process, inc, idx)
+        else:
+            g = op[1]
+            getattr(rules[g.process], f"note_{kind}")(g)
+            reported = getattr(view, f"note_{kind}")(g)
+        newly = sorted(g for g in watched
+                       if rules[g.process].status(g).resolved)
+        assert reported == newly
+        watched -= set(newly)
+        for g in universe:
+            assert view.status(g) is rules[g.process].status(g)
+        assert {g for incs in view._watched.values()
+                for bucket in incs.values() for g in bucket} == watched
 
 
 @settings(max_examples=50, deadline=None)

@@ -145,3 +145,88 @@ class TestContention:
         opt = build(True).run()
         assert opt.unresolved == []
         assert_equivalent(opt.trace, seq.trace)
+
+
+def _stream_chain_system(n_calls, **spec_kwargs):
+    from repro.workloads.generators import ChainSpec, chain_workload
+
+    spec = ChainSpec(n_calls=n_calls, n_servers=2, latency=5.0,
+                     service_time=1.0, **spec_kwargs)
+    client, servers = chain_workload(spec)
+    system = OptimisticSystem(FixedLatency(spec.latency))
+    system.add_program(client, stream_plan(client))
+    for server in servers:
+        system.add_program(server)
+    return system
+
+
+class TestThreadOrder:
+    def test_insertion_order_is_tid_order(self):
+        """Tids are allocated increasing and never re-inserted, so the
+        thread table's insertion order already is tid order — the runtime
+        visits threads in that order without sorting."""
+        from repro.core.gc import collect_all
+
+        # failing calls abort guesses, so threads are born after the
+        # mid-run collection drops the oldest ones
+        system = _stream_chain_system(12, p_fail=0.3, seed=3,
+                                      stop_on_failure=False)
+        system.start()
+        system.scheduler.run(until=13.0)
+        assert collect_all(system)["threads"] > 0
+        client = system.runtimes["client"]
+        born_before = client._next_tid
+        assert system.run().unresolved == []
+        assert client._next_tid > born_before
+        for rt in system.runtimes.values():
+            tids = list(rt.threads)
+            assert tids == sorted(tids)
+            assert [t.tid for t in rt._threads_in_order()] == tids
+
+
+class TestReclaim:
+    def test_finished_system_is_freed_by_refcount(self):
+        """A finished run leaves (almost) nothing for the cycle collector:
+        back-references (thread -> runtime -> system, backend hooks, the
+        CDG clock) are non-owning and timers drop fired/cancelled actions."""
+        import gc
+
+        _stream_chain_system(5).run()
+        gc.collect()
+        gc.disable()
+        try:
+            system = _stream_chain_system(50)
+            result = system.run()
+            assert result.unresolved == []
+            del system, result
+            leftover = gc.collect()
+        finally:
+            gc.enable()
+        assert leftover <= 150
+
+
+class TestUndoneForkTerminates:
+    def test_aborted_record_with_undone_fork_is_settled_once(self):
+        """A rollback past a FORK slot marks the aborted record
+        ``fork_undone``; when its former left thread finishes again, the
+        resolve sweep must settle the record once, not retry the
+        (forbidden) continuation forever."""
+        from repro.core.config import (GovernorConfig, OptimisticConfig,
+                                       ResilienceConfig)
+        from repro.workloads.random_duplex import (DuplexSpec,
+                                                   build_duplex_system)
+
+        spec = DuplexSpec(n_steps=13, n_signals=5, seed=79,
+                          wrong_guess_bias=3)
+        config = OptimisticConfig(resilience=ResilienceConfig(),
+                                  governor=GovernorConfig())
+        system = build_duplex_system(spec, True, config=config)
+        opt = system.run()
+        seq = build_duplex_system(spec, False).run()
+        assert any(r.fork_undone and r.status == "aborted"
+                   for rt in system.runtimes.values()
+                   for r in rt.records.values())
+        assert opt.unresolved == []
+        assert_equivalent(opt.trace, seq.trace,
+                          free_interleaving=tuple(spec.server_names()))
+        validate_run(system)
