@@ -1,12 +1,17 @@
 PYTHON ?= python
 
-.PHONY: install test lint analyze-smoke trace-smoke chaos-smoke kernel-smoke parallel-smoke bench bench-wallclock bench-obs bench-chaos bench-kernel bench-parallel figures fuzz examples results clean
+.PHONY: install test perfbench-test lint analyze-smoke trace-smoke chaos-smoke kernel-smoke parallel-smoke bench bench-wallclock bench-obs bench-chaos bench-kernel bench-parallel figures fuzz examples results clean
 
 install:
 	$(PYTHON) setup.py develop
 
-test: trace-smoke chaos-smoke analyze-smoke kernel-smoke parallel-smoke
+test: trace-smoke chaos-smoke analyze-smoke kernel-smoke parallel-smoke perfbench-test
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
+
+# The end-to-end benchmark's own tests (perfbench reads result.protocol_log
+# and wraps the runtime's public entry points on every pass).
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 # Static analysis gate: the analyzer over its own shipped workloads (the
 # semantic clean targets plus a file scan of examples/ and the workload

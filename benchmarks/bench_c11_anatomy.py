@@ -26,7 +26,7 @@ def run_point(p_fail: float, seeds=range(5)):
                          service_time=0.5, p_fail=p_fail, seed=seed)
         tracer = RecordingTracer()
         res = run_chain_optimistic(spec, tracer=tracer)
-        rows.append((summarize(res.protocol_log),
+        rows.append((summarize(res),
                      wasted_work(res.spans),
                      critical_path(res.spans)))
     return rows

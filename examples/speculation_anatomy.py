@@ -33,7 +33,7 @@ def main() -> None:
         print(f"  {line}")
 
     print("\nspeculation depth over time:")
-    series = speculation_depth_series(result.protocol_log)
+    series = speculation_depth_series(result)
     peak = max(d for _, d in series)
     shown = set()
     for t, depth in series:

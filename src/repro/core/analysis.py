@@ -6,10 +6,11 @@ doubt, how much work each abort destroyed, and where the completion time
 actually went.
 
 Every function takes a *span source*: a result object (anything with a
-``spans`` or ``protocol_log`` attribute), a list of :class:`Span`, or a
-raw protocol-log list of dicts (adapted on the fly).  This keeps the
-pre-tracer call sites — ``summarize(result.protocol_log)`` — working
-unchanged while the span schema is the native input.
+``spans`` or ``protocol_log`` attribute) or a list of :class:`Span`.  An
+untraced optimistic result has no spans; its protocol log is replayed
+through the same entry-to-span mapping a traced run applies live
+(:func:`repro.obs.spans.spans_from_protocol_log`), so both give the same
+protocol spans.
 """
 
 from __future__ import annotations

@@ -11,6 +11,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 
+#: Default left-thread timeout ("implementation-defined duration", §3.2),
+#: for fork sites whose ForkSpec sets none.
+DEFAULT_FORK_TIMEOUT = 1000.0
+#: Period of the resilience layer's orphan re-detection scan.
+ORPHAN_SCAN_INTERVAL = 120.0
+#: Consecutive no-progress scan rounds before the scanner disarms.
+ORPHAN_SCAN_MAX_IDLE = 3
+
+
 class ControlPlane(enum.Enum):
     """How COMMIT/ABORT notifications travel (§4.2.5).
 
@@ -84,21 +93,18 @@ class ResilienceConfig:
     to the run's :class:`OptimisticConfig`, so fault-free runs are
     byte-identical to the unhardened runtime.
 
-    * ``reliable_control`` / ``reliable_data`` wrap the respective plane in
-      sequence-numbered frames with ack + retransmission (exponential
+    * Both planes (data envelopes and COMMIT/ABORT/PRECEDENCE) travel
+      in sequence-numbered frames with ack + retransmission (exponential
       backoff, capped attempts) and receiver-side duplicate suppression.
-    * ``orphan_scan_interval`` arms a periodic re-detection pass: a process
-      holding an unresolved *foreign* guess queries the guess's owner, so a
-      lost ABORT/COMMIT degrades to delayed cleanup instead of a hang.  The
-      scan stops re-arming after ``orphan_scan_max_idle`` rounds in which
-      the unresolved set did not change (so a genuine §4.2.6 deadlock — or
-      a fig7-style mutual-speculation stall — still quiesces).
+    * A periodic re-detection pass (every ``ORPHAN_SCAN_INTERVAL``): a
+      process holding an unresolved *foreign* guess queries the guess's
+      owner, so a lost ABORT/COMMIT degrades to delayed cleanup instead of
+      a hang.  The scan stops re-arming after ``ORPHAN_SCAN_MAX_IDLE``
+      rounds in which the unresolved set did not change (so a genuine
+      §4.2.6 deadlock — or a fig7-style mutual-speculation stall — still
+      quiesces).
     """
 
-    #: Frame control messages (COMMIT/ABORT/PRECEDENCE) with seq+ack+retry.
-    reliable_control: bool = True
-    #: Frame data envelopes with seq+ack+retry.
-    reliable_data: bool = True
     #: Base retransmission timeout (virtual time); must exceed one RTT.
     retransmit_timeout: float = 30.0
     #: Backoff multiplier applied per retransmission attempt.
@@ -117,10 +123,6 @@ class ResilienceConfig:
     #: per-frame timers (one event per in-flight frame, the seed
     #: behaviour); see ``docs/PERF.md``.
     timer_wheel_granularity: float = 5.0
-    #: Period of the orphan re-detection scan; 0 disables it.
-    orphan_scan_interval: float = 120.0
-    #: Consecutive no-progress scan rounds before the scanner disarms.
-    orphan_scan_max_idle: int = 3
 
 
 @dataclass
@@ -167,8 +169,6 @@ class OptimisticConfig:
     #: the slots after it.  ``None`` = checkpoint only at thread birth
     #: (pure Optimistic-Recovery replay).
     checkpoint_interval: Optional[int] = None
-    #: Default left-thread timeout ("implementation-defined duration", §3.2).
-    default_fork_timeout: float = 1000.0
     #: The liveness limit L (§3.3): after this many optimistic re-executions
     #: of the same fork site, it runs pessimistically.
     max_optimistic_retries: int = 3

@@ -12,7 +12,8 @@ I1  Resolution totality — every guess ever forked is committed or aborted
     unresolved (Fig. 7's deadlock).
 I2  Commit stability — no guess both commits and aborts.
 I3  Guard emptiness — no live thread still holds an uncommitted guess.
-I4  Orphan hygiene — no message pool retains a consumable orphan.
+I4  Orphan hygiene — a quiesced message pool holds only orphans, or
+    envelopes no live thread could accept (dispatch's eligibility test).
 I5  Output commit — every released emission's guards committed; every
     dropped emission depended on an aborted guess; nothing is left
     buffered.
@@ -85,11 +86,16 @@ def validate_run(system: OptimisticSystem,
                     f"(cursor {thread.journal.cursor}/{len(thread.journal)})"
                 )
         # I4 orphan hygiene: anything left in the pool must be orphaned or
-        # undeliverable because its target never receives again — a clean
-        # fault-free run leaves nothing consumable by a blocked thread.
+        # undeliverable because no thread waits for it — dispatch would
+        # have handed a consumable envelope to a blocked thread.
         for envelope in rt.pool:
             if rt.view.any_aborted(envelope.guard):
                 continue  # an orphan that was never dispatched: fine
+            takers = rt.eligible_threads(envelope)
+            if takers:
+                problems.append(f"I4: {name} pool holds envelope "
+                                f"{envelope.msg_id} that t{takers[0].tid} "
+                                "could consume")
         # I5 output commit
         for em in rt.emissions:
             if not em.released and not em.dropped:

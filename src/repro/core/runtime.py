@@ -23,7 +23,9 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ProgramError, ProtocolError
 from repro.core.cdg import CommitDependencyGraph
-from repro.core.config import ControlPlane, DeliveryHeuristic, OptimisticConfig
+from repro.core.config import (DEFAULT_FORK_TIMEOUT, ORPHAN_SCAN_INTERVAL,
+                               ORPHAN_SCAN_MAX_IDLE, ControlPlane,
+                               DeliveryHeuristic, OptimisticConfig)
 from repro.core.guards import GuardSet
 from repro.core.guess import GuessId
 from repro.core.history import GuessStatus, SystemView
@@ -45,6 +47,11 @@ from repro.csp.plan import ForkSpec, ParallelizationPlan
 from repro.csp.process import Program
 
 
+def _fork_timeout(spec: ForkSpec) -> float:
+    """The left thread's divergence timeout (§3.2) at one fork site."""
+    return spec.timeout if spec.timeout is not None else DEFAULT_FORK_TIMEOUT
+
+
 @dataclass
 class GuessRecord:
     """Local bookkeeping for one of our own guesses."""
@@ -61,7 +68,6 @@ class GuessRecord:
     continuation_tid: Optional[int] = None
     timer: Any = None
     forked_at: float = 0.0          # virtual time of the fork
-    span_sid: int = -1              # tracer span of the in-doubt interval
     #: snapshot of the left thread's state at fork, for strict_exports —
     #: shared with the fork's other captures, not a separate copy
     fork_snapshot: Optional[StateSnapshot] = None
@@ -222,9 +228,10 @@ class ProcessRuntime:
         self.index.hold_thread(tid, guard)
         return thread
 
-    def log_event(self, kind: str, **detail: Any) -> None:
-        """Record one protocol event for this process."""
-        self.system.log_protocol_event(self.name, kind, detail)
+    def log_event(self, kind: str, *, span_guard: Optional[List[str]] = None,
+                  **detail: Any) -> None:
+        """Record one protocol event (``span_guard``: traced-only, unlogged)."""
+        self.system.log_protocol_event(self.name, kind, detail, span_guard)
 
     def on_exec_failure(self, failure) -> None:
         """A pool task carrying this process's segment labor failed.
@@ -333,11 +340,8 @@ class ProcessRuntime:
         )
         self.children[thread.tid].append(right.tid)
 
-        timeout = spec.timeout if spec.timeout is not None else (
-            self.config.default_fork_timeout
-        )
         record.timer = self.backend.timer(
-            timeout,
+            _fork_timeout(spec),
             lambda: self._on_fork_timeout(guess),
             label=f"{self.name}.{guess.key()}.timeout",
         )
@@ -353,24 +357,15 @@ class ProcessRuntime:
         now = self.backend.now
         record.forked_at = now
         self.m.speculation_depth.add(1, now)
-        if self.tracer.enabled:
-            # guard= lists the guesses the new right thread is born under
-            # (excluding its own): the fork-time dependence edges of the
-            # provenance graph.
-            record.span_sid = self.tracer.start_span(
-                ob.GUESS, self.name, now, name=guess.key(),
-                site=seg.name, left=thread.tid, right=right.tid,
-                incarnation=guess.incarnation, index=guess.index,
-                guard=sorted(g.key() for g in right_guard if g != guess),
-            )
-            # Dual clock: stamp the in-doubt window on the driver's wall
-            # lane too (real backends only; virtual has no wall clock).
-            wall = self.backend.wall_now()
-            if wall is not None:
-                self.tracer.annotate_wall(record.span_sid, start=wall,
-                                          worker="driver")
+        # The span guard lists the guesses the new right thread is born
+        # under (excluding its own): the fork-time dependence edges of the
+        # provenance graph.
+        guard = (sorted(g.key() for g in right_guard if g != guess)
+                 if self.tracer.enabled else None)
         self.log_event("fork", guess=guess.key(), site=seg.name,
-                       left=thread.tid, right=right.tid)
+                       left=thread.tid, right=right.tid,
+                       incarnation=guess.incarnation, index=guess.index,
+                       span_guard=guard)
         return True
 
     def _predict_unobserved(self, spec: ForkSpec,
@@ -590,16 +585,12 @@ class ProcessRuntime:
 
     def _note_orphan(self, envelope: DataEnvelope) -> None:
         self.m.orphans_discarded.inc()
+        aborted = self.view.any_aborted(envelope.guard)
+        extra = {"aborted": aborted.key()} if aborted is not None else {}
+        guard = (sorted(envelope.guard_keys()) if self.tracer.enabled
+                 else None)
         self.log_event("orphan_discard", msg_id=envelope.msg_id,
-                       src=envelope.src)
-        # msg_id is a process-global counter (not per-run), so it stays out
-        # of the span attrs to keep traces byte-deterministic.
-        if self.tracer.enabled:
-            aborted = self.view.any_aborted(envelope.guard)
-            extra = {"aborted": aborted.key()} if aborted is not None else {}
-            self.tracer.event(ob.ORPHAN, self.name, self.backend.now,
-                              src=envelope.src,
-                              guard=sorted(envelope.guard_keys()), **extra)
+                       src=envelope.src, span_guard=guard, **extra)
 
     def on_thread_blocked(self, thread: OptimisticThread) -> None:
         """A thread entered a blocked state: try to feed it from the pool."""
@@ -633,18 +624,32 @@ class ProcessRuntime:
         finally:
             self._in_dispatch = False
 
+    def eligible_threads(self, envelope: DataEnvelope
+                         ) -> List[OptimisticThread]:
+        """Threads that could consume ``envelope`` now, in tid order."""
+        payload = envelope.payload
+        if isinstance(payload, CallResponse):
+            return [
+                t for t in self._threads_in_order()
+                if t.status is ThreadStatus.BLOCKED_CALL
+                and t.waiting_call_id == payload.call_id
+            ]
+        return [
+            t for t in self._threads_in_order()
+            if t.status is ThreadStatus.BLOCKED_RECV
+            and t.waiting_receive is not None
+            and (t.waiting_receive.ops is None
+                 or payload.op in t.waiting_receive.ops)
+            and not (t.pessimistic and not self.view.all_committed(
+                envelope.guard))
+        ]
+
     def _dispatch_reply(self, envelope: DataEnvelope) -> bool:
         payload: CallResponse = envelope.payload
-        target = None
-        for t in self._threads_in_order():
-            if (
-                t.status is ThreadStatus.BLOCKED_CALL
-                and t.waiting_call_id == payload.call_id
-            ):
-                target = t
-                break
-        if target is None:
+        eligible = self.eligible_threads(envelope)
+        if not eligible:
             return False
+        target = eligible[0]
         # §4.2.3 early-abort: a reply that depends on the waiting thread's
         # own (future) guess proves a causal cycle — abort it right away.
         if self.config.early_reply_abort and target.own_guess is not None:
@@ -679,14 +684,7 @@ class ProcessRuntime:
             req = Request(src=envelope.src, op=payload.op, args=payload.args)
         else:
             raise ProtocolError(f"{self.name}: bad request payload {payload!r}")
-        eligible = [
-            t for t in self._threads_in_order()
-            if t.status is ThreadStatus.BLOCKED_RECV
-            and t.waiting_receive is not None
-            and (t.waiting_receive.ops is None or req.op in t.waiting_receive.ops)
-            and not (t.pessimistic and not self.view.all_committed(
-                envelope.guard))
-        ]
+        eligible = self.eligible_threads(envelope)
         if not eligible:
             return False
         if self.config.delivery_heuristic is DeliveryHeuristic.MIN_NEW_DEPS:
@@ -714,11 +712,6 @@ class ProcessRuntime:
             if thread.seg_end >= len(self.program.segments):
                 self.tentative_completion = self.backend.now
                 self.log_event("tentative_complete", tid=thread.tid)
-                if self.tracer.enabled:
-                    self.tracer.event(ob.COMPLETE, self.name,
-                                      self.backend.now,
-                                      name="tentative_complete",
-                                      tid=thread.tid)
             self._check_completion()
 
     def evaluate_join(self, record: GuessRecord) -> None:
@@ -863,27 +856,13 @@ class ProcessRuntime:
                     self._repair_deltas.get(k, 0) + delta
                 )
 
-    def _resolve_metrics(self, record: GuessRecord, outcome: str,
-                         reason: Optional[str] = None,
-                         **extra: Any) -> None:
-        """Shared commit/abort accounting: depth gauge, doubt histogram, span."""
+    def _resolve_metrics(self, record: GuessRecord, outcome: str) -> None:
+        """Shared commit/abort accounting: depth gauge, doubt histogram."""
         now = self.backend.now
         self.m.speculation_depth.add(-1, now)
         self.m.doubt_time.observe(now - record.forked_at)
         if self.system.governor is not None:
             self.system.governor.on_resolution(self.name, outcome, now)
-        if self.tracer.enabled and record.span_sid >= 0:
-            attrs: Dict[str, Any] = {"outcome": outcome}
-            if reason is not None:
-                attrs["reason"] = reason
-            for k, v in extra.items():
-                if v is not None:
-                    attrs[k] = v
-            self.tracer.end_span(record.span_sid, now, **attrs)
-            wall = self.backend.wall_now()
-            if wall is not None:
-                self.tracer.annotate_wall(record.span_sid, end=wall,
-                                          worker="driver")
 
     # ------------------------------------------------------------ own aborts
 
@@ -896,7 +875,7 @@ class ProcessRuntime:
         provenance); guesses discovered while destroying right subtrees are
         cascade orphans of the record being torn down.  ``detail`` carries
         fault forensics (mispredictions, CDG cycle) onto the *initial*
-        records' guess spans.
+        records' abort entries.
         """
         to_abort: List[GuessRecord] = []
         #: cascade root per aborted record: None for the genuine roots.
@@ -939,11 +918,12 @@ class ProcessRuntime:
             )
             self._emit_control(AbortMsg(guess=record.guess))
             self.m.aborts.inc()
-            fault_detail = detail if roots.get(record.guess) is None else None
-            self._resolve_metrics(record, outcome="abort", reason=reason,
-                                  root=roots.get(record.guess),
-                                  **(fault_detail or {}))
-            self.log_event("abort", guess=record.guess.key(), reason=reason)
+            self._resolve_metrics(record, outcome="abort")
+            cascade_root = roots[record.guess]
+            extra = ({"root": cascade_root} if cascade_root is not None
+                     else detail or {})
+            self.log_event("abort", guess=record.guess.key(), reason=reason,
+                           **extra)
         for record in to_abort:
             self._rollback_for_abort(record.guess)
             self.cdg.remove_node(record.guess)
@@ -1035,9 +1015,6 @@ class ProcessRuntime:
         self.children[left.tid].append(cont.tid)
         self.m.continuations.inc()
         self.log_event("continuation", guess=record.guess.key(), tid=cont.tid)
-        if self.tracer.enabled:
-            self.tracer.event(ob.CONTINUATION, self.name, self.backend.now,
-                              name=record.guess.key(), tid=cont.tid)
         cont._pending_event = self.backend.after(
             0.0, cont.start, label=f"start {self.name}.t{cont.tid} (cont)"
         )
@@ -1244,17 +1221,16 @@ class ProcessRuntime:
         queue drains, so an unconditional periodic timer would keep every
         run alive forever.
         """
-        if self.config.resilience is None or self.crashed:
-            return
-        interval = self.config.resilience.orphan_scan_interval
-        if interval <= 0 or self._scan_armed():
+        if self.config.resilience is None or self.crashed \
+                or self._scan_armed():
             return
         if not self._unresolved_foreign():
             self._scan_last = frozenset()
             self._scan_idle = 0
             return
         self._scan_timer = self.backend.timer(
-            interval, self._orphan_scan, label=f"{self.name}.orphan_scan",
+            ORPHAN_SCAN_INTERVAL, self._orphan_scan,
+            label=f"{self.name}.orphan_scan",
         )
 
     def _orphan_scan(self) -> None:
@@ -1272,7 +1248,7 @@ class ProcessRuntime:
         else:
             self._scan_last = unresolved
             self._scan_idle = 0
-        if self._scan_idle >= self.config.resilience.orphan_scan_max_idle:
+        if self._scan_idle >= ORPHAN_SCAN_MAX_IDLE:
             # The same doubt survived several answered rounds: the owners
             # really are undecided (e.g. a deadlocked workload), not silent.
             # Disarm so the run can reach quiescence; new arrivals re-arm.
@@ -1411,13 +1387,10 @@ class ProcessRuntime:
         return aborted
 
     def _perform_rollback(self, thread: OptimisticThread, position: int,
-                          cause: Optional[str] = None) -> None:
+                          cause: str) -> None:
         self.m.rollbacks.inc()
-        self.log_event("rollback", tid=thread.tid, position=position)
-        if self.tracer.enabled:
-            extra = {"cause": cause} if cause is not None else {}
-            self.tracer.event(ob.ROLLBACK, self.name, self.backend.now,
-                              tid=thread.tid, position=position, **extra)
+        self.log_event("rollback", tid=thread.tid, position=position,
+                       cause=cause)
         thread.discard_cause = cause
         discarded = thread.rollback_to(position)
         self._requeue_consumed(discarded)
@@ -1465,10 +1438,8 @@ class ProcessRuntime:
                 and (record.timer is None or record.timer.cancelled
                      or record.timer.fired)
             ):
-                timeout = record.spec.timeout if record.spec.timeout is not None \
-                    else self.config.default_fork_timeout
                 record.timer = self.backend.timer(
-                    timeout,
+                    _fork_timeout(record.spec),
                     lambda g=record.guess: self._on_fork_timeout(g),
                     label=f"{self.name}.{record.guess.key()}.retimeout",
                 )
@@ -1519,9 +1490,6 @@ class ProcessRuntime:
             return
         self.committed_completion = self.backend.now
         self.log_event("committed_complete")
-        if self.tracer.enabled:
-            self.tracer.event(ob.COMPLETE, self.name, self.backend.now,
-                              name="committed_complete")
 
     def _is_main_line_done(self, t: OptimisticThread) -> bool:
         """``t`` finished the program's last segment, guessing nothing."""

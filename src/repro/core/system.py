@@ -24,7 +24,7 @@ from repro.csp.process import ProcessDef, Program
 from repro.exec.api import ExecutorBackend
 from repro.exec.virtual import VirtualTimeBackend
 from repro.obs.metrics import MetricsRegistry, RuntimeMetrics
-from repro.obs.spans import Span
+from repro.obs.spans import ProtocolSpans, Span
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.faults import FaultPlan, FaultyNetwork
 from repro.sim.network import FixedLatency, LatencyModel, Network
@@ -177,6 +177,11 @@ class OptimisticSystem:
         self.runtimes: Dict[str, ProcessRuntime] = {}
         self.sinks: Dict[str, ExternalSink] = {}
         self.protocol_log: List[dict] = []
+        #: maps each log entry to spans as it is written (traced runs only)
+        self._protocol_spans: Optional[ProtocolSpans] = (
+            ProtocolSpans(self.tracer, self.backend.wall_now)
+            if self.tracer.enabled else None
+        )
         self._started = False
 
     def _process_down(self, name: str) -> bool:
@@ -257,11 +262,14 @@ class OptimisticSystem:
         self.network.send(src, dst, msg, control=True, size=control_size(msg))
 
     def log_protocol_event(self, process: str, kind: str,
-                           detail: Dict[str, Any]) -> None:
-        """Append one entry to the run's protocol log."""
+                           detail: Dict[str, Any],
+                           span_guard: Optional[List[str]] = None) -> None:
+        """Append one entry to the run's protocol log (and, traced, spans)."""
         entry = {"time": self.scheduler.now, "process": process, "kind": kind}
         entry.update(detail)
         self.protocol_log.append(entry)
+        if self._protocol_spans is not None:
+            self._protocol_spans(entry, span_guard)
 
     def _on_segment_failure(self, failure) -> None:
         """Backend hook: one pool task's labor could not be earned.

@@ -78,15 +78,6 @@ class ReliableTransport:
     def add_participant(self, name: str) -> None:
         self.participants.add(name)
 
-    def _framed(self, src: str, dst: str, control: bool) -> bool:
-        if src not in self.participants or dst not in self.participants:
-            return False
-        return (
-            self.config.reliable_control
-            if control
-            else self.config.reliable_data
-        )
-
     # ------------------------------------------------------------- sending
 
     def send(
@@ -99,7 +90,7 @@ class ReliableTransport:
         size: int = 1,
     ) -> None:
         """Send ``msg``, framing it when the channel is covered."""
-        if not self._framed(src, dst, control):
+        if src not in self.participants or dst not in self.participants:
             self.network.send(src, dst, msg, control=control, size=size)
             return
         plane = PLANE_CONTROL if control else PLANE_DATA

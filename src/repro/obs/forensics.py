@@ -22,8 +22,10 @@ persisted JSONL trace can be analysed after the fact:
   health gate (``repro.bench.speculation_health``) re-checks per run.
 
 Everything consumes any *span source* accepted by
-:func:`repro.obs.spans.as_spans` (a result object, a span list, or a
-legacy protocol log).
+:func:`repro.obs.spans.as_spans` (a result object or a span list).  An
+untraced result's protocol log replays into the same protocol spans
+(guesses with root/cycle/mispredicted, rollback causes, orphan culprits)
+minus the traced-only guard lists and message traffic.
 """
 
 from __future__ import annotations

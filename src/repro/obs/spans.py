@@ -44,7 +44,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 # --------------------------------------------------------------- span kinds
 
@@ -172,76 +172,98 @@ def span_from_dict(data: Dict[str, Any]) -> Span:
     )
 
 
-# ------------------------------------------------- protocol-log compatibility
+# ------------------------------------------------------ protocol-log spans
+
+#: log kind -> (instant span kind, entry key naming the span; ``None``
+#: names it after the span kind).  Kinds missing here and from the
+#: fork/commit/abort guess lifecycle map to no span.
+_INSTANTS = {
+    "rollback": (ROLLBACK, None),
+    "continuation": (CONTINUATION, "guess"),
+    "orphan_discard": (ORPHAN, None),
+    "tentative_complete": (COMPLETE, "kind"),
+    "committed_complete": (COMPLETE, "kind"),
+}
+#: entry keys that never become attrs: the header, and ``msg_id`` — a
+#: process-global counter that would make traces nondeterministic
+_NOT_ATTRS = frozenset({"time", "process", "kind", "msg_id"})
+
+
+class ProtocolSpans:
+    """The one mapping from protocol-log entries to spans.
+
+    A traced run feeds each entry through it as the entry is written;
+    :func:`spans_from_protocol_log` replays it over a finished log, so
+    both get the same protocol spans.  A ``fork`` opens a GUESS span that
+    its ``commit``/``abort`` closes with ``outcome=`` plus the entry's
+    other keys.  ``guard`` is the traced-only guard list handed over with
+    a fork or orphan entry (never stored in it); ``wall`` reads the
+    driver's wall clock for the guess window (real backends only).
+    """
+
+    __slots__ = ("tracer", "wall", "_open")
+
+    def __init__(self, tracer: Any,
+                 wall: Optional[Callable[[], Optional[float]]] = None):
+        self.tracer = tracer
+        self.wall = wall
+        self._open: Dict[str, int] = {}   # guess key -> open GUESS sid
+
+    def __call__(self, entry: Dict[str, Any],
+                 guard: Optional[List[str]] = None) -> None:
+        kind = entry["kind"]
+        if kind in ("fork", "commit", "abort"):
+            name_key: Optional[str] = "guess"
+        elif kind in _INSTANTS:
+            span_kind, name_key = _INSTANTS[kind]
+        else:
+            return
+        attrs = {k: v for k, v in entry.items()
+                 if k not in _NOT_ATTRS and k != name_key}
+        if guard is not None:
+            attrs["guard"] = guard
+        if kind == "fork":
+            sid = self.tracer.start_span(GUESS, entry["process"],
+                                         entry["time"], name=entry["guess"],
+                                         **attrs)
+            self._open[entry["guess"]] = sid
+            self._stamp_wall(sid, "start")
+        elif kind in ("commit", "abort"):
+            sid = self._open.pop(entry["guess"], None)
+            if sid is not None:
+                self.tracer.end_span(sid, entry["time"], outcome=kind,
+                                     **attrs)
+                self._stamp_wall(sid, "end")
+        else:
+            self.tracer.event(span_kind, entry["process"], entry["time"],
+                              name=entry[name_key] if name_key else "",
+                              **attrs)
+
+    def _stamp_wall(self, sid: int, edge: str) -> None:
+        """Stamp the guess window's ``edge`` on the driver's wall lane."""
+        wall = self.wall() if self.wall is not None else None
+        if wall is not None:
+            self.tracer.annotate_wall(sid, worker="driver", **{edge: wall})
+
 
 def spans_from_protocol_log(protocol_log: Iterable[dict]) -> List[Span]:
-    """Synthesize spans from a legacy ``protocol_log`` event list.
+    """Replay :class:`ProtocolSpans` over a finished protocol log."""
+    from .tracer import RecordingTracer  # tracer imports this module
 
-    The optimistic runtime keeps its dict-based protocol log even when
-    tracing is off; this adapter lifts it into the span schema so every
-    analysis (:mod:`repro.core.analysis`) has a single input type.  Guess
-    lifecycles (``fork`` → first ``commit``/``abort``) become ``GUESS``
-    interval spans; ``rollback`` and ``continuation`` entries become the
-    corresponding events; every other entry becomes a generic instant
-    event keyed by its protocol kind.
-    """
-    spans: List[Span] = []
-    open_guesses: Dict[str, Span] = {}
-    sid = 0
+    tracer = RecordingTracer()
+    mapping = ProtocolSpans(tracer)
     for entry in protocol_log:
-        kind = entry["kind"]
-        time = entry["time"]
-        process = entry["process"]
-        if kind == "fork":
-            span = Span(
-                sid=sid, kind=GUESS, name=entry["guess"], process=process,
-                start=time,
-                attrs={"site": entry.get("site", "?")},
-            )
-            sid += 1
-            spans.append(span)
-            open_guesses[entry["guess"]] = span
-        elif kind in ("commit", "abort"):
-            span = open_guesses.pop(entry.get("guess", ""), None)
-            if span is not None:
-                span.end = time
-                span.attrs["outcome"] = kind
-                if kind == "abort" and entry.get("reason"):
-                    span.attrs["reason"] = entry["reason"]
-        elif kind == "rollback":
-            spans.append(Span(
-                sid=sid, kind=ROLLBACK, name="rollback", process=process,
-                start=time, end=time,
-                attrs={"tid": entry.get("tid"),
-                       "position": entry.get("position")},
-            ))
-            sid += 1
-        elif kind == "continuation":
-            spans.append(Span(
-                sid=sid, kind=CONTINUATION, name=entry.get("guess", ""),
-                process=process, start=time, end=time,
-                attrs={"tid": entry.get("tid")},
-            ))
-            sid += 1
-        else:
-            attrs = {k: v for k, v in entry.items()
-                     if k not in ("kind", "time", "process")}
-            spans.append(Span(
-                sid=sid, kind=kind, name=kind, process=process,
-                start=time, end=time, attrs=attrs,
-            ))
-            sid += 1
-    return spans
+        mapping(entry)
+    return tracer.spans()
 
 
 def as_spans(source: Any) -> List[Span]:
     """Coerce any supported trace source into a span list.
 
-    Accepts a span list, a protocol-log dict list, a run-result object
-    (anything with ``spans`` and/or ``protocol_log`` attributes), or
-    ``None``.  Result objects prefer real tracer spans and fall back to
-    the protocol-log adapter, so analyses work whether or not tracing was
-    enabled for the run.
+    Accepts a span list, a run-result object (anything with ``spans``
+    and/or ``protocol_log`` attributes), or ``None``.  Result objects
+    prefer real tracer spans and otherwise replay the protocol log, so
+    analyses work whether or not tracing was enabled for the run.
     """
     if source is None:
         return []
@@ -251,10 +273,6 @@ def as_spans(source: Any) -> List[Span]:
             return list(spans)
         return spans_from_protocol_log(getattr(source, "protocol_log", []))
     items = list(source)
-    if not items:
-        return []
-    if isinstance(items[0], Span):
-        return items
-    if isinstance(items[0], dict) and "kind" in items[0]:
-        return spans_from_protocol_log(items)
-    raise TypeError(f"cannot interpret trace source {source!r}")
+    if items and not isinstance(items[0], Span):
+        raise TypeError(f"cannot interpret trace source {source!r}")
+    return items

@@ -35,6 +35,26 @@ def test_faulty_runs_satisfy_all_invariants():
         validate_run(system)
 
 
+def test_i4_flags_consumable_envelope_left_in_pool():
+    """A non-orphan envelope beside a thread blocked at a matching receive
+    is one dispatch failed to deliver: I4 must name it."""
+    from repro.core.messages import DataEnvelope
+    from repro.csp.payloads import OneWay
+    from repro.errors import ProtocolError
+
+    system = run_system(ChainSpec(n_calls=3, n_servers=1, latency=2.0,
+                                  service_time=0.5))
+    validate_run(system)
+    server = system.runtimes["S0"]
+    assert any(t.waiting_receive is not None
+               for t in server.threads.values())
+    server.pool.append(DataEnvelope(
+        src="client", dst="S0", payload=OneWay(op="call", args=(99,)),
+        guard=frozenset()))
+    with pytest.raises(ProtocolError, match="I4: S0 pool holds envelope"):
+        validate_run(system)
+
+
 def test_fig7_requires_allow_unresolved():
     from repro.csp.plan import ForkSpec, ParallelizationPlan
     from repro.csp.effects import Receive, Send, Call
